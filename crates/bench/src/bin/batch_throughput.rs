@@ -48,7 +48,7 @@ fn main() {
     // ------------------------------------------------------------------
     // Insert phase.
     // ------------------------------------------------------------------
-    let mut per_op = fresh_clam();
+    let per_op = fresh_clam();
     let mut per_op_total = SimDuration::ZERO;
     for i in 0..inserts {
         per_op_total += per_op.insert(workload_key(i), i).expect("insert").latency;
@@ -75,7 +75,7 @@ fn main() {
 
     let mut speedup_at_64 = 0.0f64;
     for batch in BATCH_SIZES {
-        let mut clam = fresh_clam();
+        let clam = fresh_clam();
         let ops: Vec<(u64, u64)> = (0..inserts).map(|i| (workload_key(i), i)).collect();
         let mut total = SimDuration::ZERO;
         for chunk in ops.chunks(batch) {

@@ -70,6 +70,18 @@ pub const BATCHED_OP_OVERHEAD: SimDuration = SimDuration::from_nanos(400);
 const WORD_COST: SimDuration = SimDuration::from_nanos(4);
 /// DRAM words touched by a buffer probe (two cuckoo locations).
 const BUFFER_PROBE_WORDS: usize = 4;
+/// DRAM access cost model used for in-memory latency accounting.
+const MEM_COST: LinearCost = LinearCost::new(0, 0.5);
+/// Fewest ops a default-parallelism chunk of [`Clam::insert_batch`]
+/// carries. A scoped thread costs tens of microseconds to spawn and join;
+/// a buffer-resident insert well under one, so an exclusive owner's
+/// smaller batch runs faster inline as one chunk.
+const MIN_CHUNK_OPS: usize = 1024;
+
+/// Cost of touching `words` 64-bit words of DRAM.
+fn mem_words_cost(words: usize) -> SimDuration {
+    WORD_COST * words as u64 + MEM_COST.cost(words * 8)
+}
 
 /// Outcome of an insert operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -280,17 +292,17 @@ static CLAM_EPOCH: AtomicU32 = AtomicU32::new(0);
 /// "Per-table write locks").
 ///
 /// * `op` — the **operation lock**: serializes whole logical mutations on
-///   this table. A fine-grained writer holds it across its entire op
-///   (insert including any flush chain), so per-table op order is well
-///   defined even though the data lock below is released between steps.
+///   this table. A writer holds it across its entire op (insert
+///   including any flush chain), so per-table op order is well defined
+///   even though the data lock below is released between steps.
 /// * `state` — the **state lock**: protects the table's mutable data (the
 ///   cuckoo buffer, delete list, Bloom filters and incarnation queue). It
 ///   is a *leaf* lock, held only for the duration of single `SuperTable`
 ///   method calls — which is what lets a flush of one table force-evict
 ///   incarnations of *another* table (cross-table log-slot reclamation)
 ///   without any lock-ordering concerns.
-/// * `epoch` — a per-table seqlock epoch, odd while a fine-grained writer
-///   holds the op lock. Lock-free readers ([`Clam::try_probe_memory`])
+/// * `epoch` — a per-table seqlock epoch, odd while a writer holds the
+///   op lock. Lock-free readers ([`Clam::try_probe_memory`])
 ///   validate against it so they never build a verdict from a half-applied
 ///   logical op (e.g. between a buffer drain and the matching incarnation
 ///   registration).
@@ -310,7 +322,7 @@ struct TableSet {
     acquisitions: AtomicU64,
     /// Acquisitions that found the op lock already held.
     contended: AtomicU64,
-    /// Number of tables currently write-locked (fine path).
+    /// Number of tables currently write-locked.
     locked: AtomicU64,
     /// High-water mark of `locked`: how many tables of this stripe were
     /// ever write-locked at the same instant.
@@ -339,21 +351,28 @@ impl TableSet {
         self.slots.len()
     }
 
+    /// Super table responsible for `key` (the paper partitions on the first
+    /// `k1` bits of the key; hashing achieves the same uniform split without
+    /// requiring a power-of-two table count).
+    fn table_of(&self, key: Key) -> usize {
+        (hash_with_seed(key, 0x7a_b1e5) % self.slots.len() as u64) as usize
+    }
+
     /// Runs `f` with table `t`'s state lock held. The lock is a leaf:
     /// `f` must not acquire any other lock.
     fn with<R>(&self, t: usize, f: impl FnOnce(&mut SuperTable) -> R) -> R {
         f(&mut self.slots[t].state.lock())
     }
 
-    /// Current seqlock epoch of table `t` (odd while a fine-grained
-    /// writer's logical op is in progress).
+    /// Current seqlock epoch of table `t` (odd while a writer's logical
+    /// op is in progress).
     fn epoch_of(&self, t: usize) -> u64 {
         self.slots[t].epoch.load(Ordering::SeqCst)
     }
 
-    /// Acquires table `t`'s operation lock for a fine-grained logical
-    /// write, recording the lock ledger and marking the table's epoch odd
-    /// until the guard drops.
+    /// Acquires table `t`'s operation lock for a logical write, recording
+    /// the lock ledger and marking the table's epoch odd until the guard
+    /// drops.
     fn lock_for_write(&self, t: usize) -> TableWriteGuard<'_> {
         let slot = &self.slots[t];
         let op = match slot.op.try_lock() {
@@ -386,7 +405,7 @@ impl TableSet {
     }
 }
 
-/// RAII guard of one table's operation lock (fine-grained write path).
+/// RAII guard of one table's operation lock.
 /// Dropping it marks the table's epoch even again and decrements the
 /// concurrently-locked count.
 struct TableWriteGuard<'a> {
@@ -405,8 +424,8 @@ impl Drop for TableWriteGuard<'_> {
 /// Orders the *flush* side-effects of a parallel batch insert: chunk `j`'s
 /// first flush waits until every chunk `< j` has fully completed, so
 /// allocator grants, flush sequence numbers and forced evictions happen in
-/// exactly the order the sequential (coarse) batch would produce them —
-/// that is what makes `set_coarse_locks(true)` a bit-identical baseline.
+/// exactly the order a one-chunk batch produces them — that is what makes
+/// the chunk count invisible in every result.
 /// Buffer inserts (the common case) never wait: only a full buffer parks
 /// on the gate, and it does so *before* taking the core lock, so a waiting
 /// chunk holds nothing another chunk needs (its own table op locks only).
@@ -450,24 +469,11 @@ impl Drop for GateCompletion<'_> {
     }
 }
 
-/// Per-chunk accumulator of a parallel batch insert.
-struct ChunkOutcome {
-    latency: SimDuration,
-    flushed_ops: usize,
-    evictions: usize,
-}
-
-impl ChunkOutcome {
-    fn new() -> Self {
-        ChunkOutcome { latency: SimDuration::ZERO, flushed_ops: 0, evictions: 0 }
-    }
-}
-
 /// The shared, short-critical-section core of a [`Clam`]: everything that
 /// is *not* per-table state — the device and its completion ring, the log
 /// allocator (slot grants), the flush sequence counter and the
-/// [`ClamStats`] ledger. Fine-grained writers take this lock only around
-/// flush chains and ring drains; buffer-resident inserts, deletes and
+/// [`ClamStats`] ledger. Writers take this lock only around flush chains
+/// and ring drains; buffer-resident inserts, deletes and
 /// memory probes never touch it. Because a flush chain runs entirely under
 /// one core lock, allocator grant order equals ring admission order, which
 /// is the invariant the PR-7 acknowledgment point rests on (admission
@@ -484,8 +490,6 @@ struct ClamCore<D: Device> {
     allocator: LogAllocator,
     seq: u64,
     stats: ClamStats,
-    /// DRAM access cost model used for in-memory latency accounting.
-    mem_cost: LinearCost,
     /// Incarnation writes deferred for coalescing. On the ring-driven
     /// write path this holds at most the *current* contiguous run (a
     /// non-contiguous write admits the finished run to the ring first, so
@@ -493,12 +497,9 @@ struct ClamCore<D: Device> {
     /// every deferred write until the batch-end drain sorts and merges
     /// them.
     pending_writes: Vec<(u64, Vec<u8>)>,
-    /// True while a batched insert is collecting flush writes for
-    /// coalescing.
-    coalesce_writes: bool,
     /// True routes flushes, evictions and drains through the blocking
-    /// barrier write path ([`ClamCore::flush_table_barrier`]) instead of
-    /// the shared completion ring.
+    /// barrier write path (blocking submissions, see
+    /// [`ClamCore::flush_table`]) instead of the shared completion ring.
     barrier_writes: bool,
     /// The shared read/write completion ring of the current top-level call
     /// (`None` between calls): lookup probes, flush writes, eviction reads
@@ -520,16 +521,16 @@ struct ClamCore<D: Device> {
 
 /// A cheap and large CAM: BufferHash on DRAM plus a flash [`Device`].
 ///
-/// Since PR 10 the store is internally split for **per-super-table write
-/// concurrency**: each [`SuperTable`]'s mutable state lives behind its own
-/// lock (a [`TableSet`]), and the shared pieces — device, completion ring,
-/// log allocator, stats ledger — live in a small mutex-protected
-/// [`ClamCore`]. The classic `&mut self` API below is unchanged and takes
-/// no locks (exclusive access reaches both halves directly); the `fine_*`
-/// methods ([`fine_insert`](Self::fine_insert),
-/// [`fine_insert_batch`](Self::fine_insert_batch),
-/// [`fine_delete`](Self::fine_delete)) run through `&self` so writers to
-/// *different* tables of one stripe commit in parallel.
+/// The store is split for **per-super-table write concurrency**: each
+/// [`SuperTable`]'s mutable state lives behind its own lock (a
+/// `TableSet`), and the shared pieces — device, completion ring, log
+/// allocator, stats ledger — live in a small mutex-protected
+/// `ClamCore`. There is one write path: [`insert`](Self::insert),
+/// [`insert_batch`](Self::insert_batch) and [`delete`](Self::delete) take
+/// `&self` and the key's table op lock, so writers to *different* tables
+/// commit in parallel; an exclusive (`&mut`) caller runs the same code
+/// over uncontended locks. Lookups, `flush_all` and recovery take
+/// `&mut self`.
 pub struct Clam<D: Device> {
     tables: TableSet,
     core: Mutex<ClamCore<D>>,
@@ -537,14 +538,14 @@ pub struct Clam<D: Device> {
     config: ClamConfig,
     /// Copy of the core's lifetime epoch, readable without locking.
     epoch: u32,
-    /// Copy of the core's DRAM cost model, usable without locking.
-    mem_cost: LinearCost,
-    /// Serializes concurrent [`fine_insert_batch`](Self::fine_insert_batch)
-    /// calls: a batch owns the coalescing window (`coalesce_writes`) for
+    /// Serializes concurrent [`insert_batch`](Self::insert_batch) calls: a
+    /// batch owns the deferred coalesced run and the batch-end drain for
     /// its duration.
     batch_lock: Mutex<()>,
-    /// Chunk-count override for [`fine_insert_batch`](Self::fine_insert_batch):
-    /// 0 means "use [`std::thread::available_parallelism`]". Tests force a
+    /// Chunk-count override for [`insert_batch`](Self::insert_batch):
+    /// 0 means "use [`std::thread::available_parallelism`], at most one
+    /// chunk per `min_chunk_ops` ops" (see
+    /// [`insert_batch_chunked`](Self::insert_batch_chunked)). Tests force a
     /// value > 1 to exercise the multi-chunk gate/rendezvous path even on
     /// single-core hosts (the scoped threads still run, time-sliced).
     batch_parallelism: AtomicUsize,
@@ -599,7 +600,6 @@ impl<D: Device> Clam<D> {
             num_tables,
         )?;
         let epoch = CLAM_EPOCH.fetch_add(1, Ordering::Relaxed) + 1;
-        let mem_cost = LinearCost::new(0, 0.5);
         let core = ClamCore {
             device,
             config: config.clone(),
@@ -609,9 +609,7 @@ impl<D: Device> Clam<D> {
             allocator,
             seq: 0,
             stats: ClamStats::new(),
-            mem_cost,
             pending_writes: Vec::new(),
-            coalesce_writes: false,
             barrier_writes: false,
             ring: None,
             ring_horizon: SimDuration::ZERO,
@@ -624,7 +622,6 @@ impl<D: Device> Clam<D> {
             core: Mutex::new(core),
             config,
             epoch,
-            mem_cost,
             batch_lock: Mutex::new(()),
             batch_parallelism: AtomicUsize::new(0),
         })
@@ -676,8 +673,8 @@ impl<D: Device> Clam<D> {
     }
 
     /// Routes every flush, eviction and coalesced drain through the
-    /// blocking **barrier** write path (`flush_table_barrier`) instead of the
-    /// shared completion ring. Off by default; kept (like
+    /// blocking **barrier** write path (one blocking submission per write
+    /// or drain) instead of the shared completion ring. Off by default; kept (like
     /// [`lookup_batch_waves`](Self::lookup_batch_waves) on the read side)
     /// as the reference implementation for equivalence testing and the
     /// ring-vs-barrier write sweep in the `io_queue_depth` harness.
@@ -770,78 +767,9 @@ impl<D: Device> Clam<D> {
         MemoryUsage { buffers, filters: total.saturating_sub(buffers + delete_lists), delete_lists }
     }
 
-    /// Super table responsible for `key` (the paper partitions on the first
-    /// `k1` bits of the key; hashing achieves the same uniform split without
-    /// requiring a power-of-two table count).
-    fn table_of(&self, key: Key) -> usize {
-        (hash_with_seed(key, 0x7a_b1e5) % self.tables.len() as u64) as usize
-    }
-
-    /// Cost of touching `words` 64-bit words of DRAM.
-    fn mem_words_cost(&self, words: usize) -> SimDuration {
-        WORD_COST * words as u64 + self.mem_cost.cost(words * 8)
-    }
-
     // ------------------------------------------------------------------
-    // Public hash-table operations (exclusive `&mut self` path)
+    // Lookups (`&mut self`: the probe pipeline owns the core)
     // ------------------------------------------------------------------
-
-    /// Inserts (or updates) `key` with `value`.
-    ///
-    /// Updates are lazy (§5.1.1): if an older value for the key is already
-    /// on flash it is left there; lookups return the newest value because
-    /// incarnations are examined youngest-first.
-    pub fn insert(&mut self, key: Key, value: Value) -> Result<InsertOutcome> {
-        self.core.get_mut().insert_with_dispatch(&self.tables, key, value, BASE_OP_OVERHEAD)
-    }
-
-    /// Alias for [`insert`](Self::insert); updates use the same lazy path.
-    pub fn update(&mut self, key: Key, value: Value) -> Result<InsertOutcome> {
-        self.insert(key, value)
-    }
-
-    /// Inserts (or updates) a batch of key/value pairs in one call.
-    ///
-    /// Operations are applied in input order *per super table* (ops are
-    /// stably sorted by super table first), so as long as the flash log
-    /// has not wrapped, the resulting state is observationally equivalent
-    /// to calling [`insert`](Self::insert) for each pair in order: the
-    /// same lookups succeed, the same buffers fill at the same points and
-    /// the same flushes happen. Once capacity wraps, flush order *across*
-    /// tables (which differs from the sequential interleaving) decides
-    /// which incarnations the log overwrites, so forced-eviction victims
-    /// may differ from a sequential execution — both are valid FIFO
-    /// behavior. What always changes is the cost: the per-call dispatch
-    /// overhead is paid once for the whole batch, each super table's
-    /// filters and buffer are walked in one pass, and incarnation writes
-    /// that land on contiguous log slots are coalesced into a single
-    /// sequential device write.
-    ///
-    /// This is the sequential (coarse) batch path; the parallel
-    /// fine-grained twin is [`fine_insert_batch`](Self::fine_insert_batch),
-    /// which dispatches per-table groups onto scoped threads and is
-    /// bit-identical to this path by construction (property-tested).
-    ///
-    /// ```
-    /// use bufferhash::{Clam, ClamConfig};
-    /// use flashsim::Ssd;
-    ///
-    /// let config = ClamConfig::small_test(8 << 20, 2 << 20).unwrap();
-    /// let mut clam = Clam::new(Ssd::intel(8 << 20).unwrap(), config).unwrap();
-    ///
-    /// let ops: Vec<(u64, u64)> = (0..128).map(|i| (i * 7 + 1, i)).collect();
-    /// let batch = clam.insert_batch(&ops).unwrap();
-    /// assert_eq!(batch.ops, 128);
-    /// // Amortized per-op cost is well below a per-op insert's overhead.
-    /// assert!(batch.mean_latency() < bufferhash::BASE_OP_OVERHEAD);
-    /// assert_eq!(clam.lookup(8).unwrap().value, Some(1));
-    /// ```
-    pub fn insert_batch(&mut self, ops: &[(Key, Value)]) -> Result<BatchInsertOutcome> {
-        let mut order: Vec<usize> = (0..ops.len()).collect();
-        // Stable sort: ops for one super table keep their input order.
-        order.sort_by_key(|&i| self.table_of(ops[i].0));
-        self.core.get_mut().insert_batch_ordered(&self.tables, ops, &order)
-    }
 
     /// Looks up a batch of keys in one call through the **streaming ring
     /// pipeline**, returning one [`LookupOutcome`] per key (input order)
@@ -921,9 +849,8 @@ impl<D: Device> Clam<D> {
     /// The **barrier wave** reference pipeline: each round collects the
     /// next pending page read of every unresolved key into one
     /// [`Device::submit`](flashsim::Device::submit) wave, charged at the
-    /// wave makespan — the PR-4 read path, kept (like
-    /// `StripedClam::insert_batch_serial`) for comparison, debugging and
-    /// the ring-vs-barrier sweep in the `io_queue_depth` harness.
+    /// wave makespan — the pre-ring read path, kept for comparison, debugging
+    /// and the ring-vs-barrier sweep in the `io_queue_depth` harness.
     ///
     /// Outcomes (values, sources, flash-read counts, hit/miss stats) are
     /// identical to [`lookup_batch`](Self::lookup_batch) — this is
@@ -967,18 +894,18 @@ impl<D: Device> Clam<D> {
     /// trigger LRU re-insertion never resolve here because re-insertion
     /// only follows a flash hit.
     pub fn probe_memory(&self, key: Key, dispatch: SimDuration) -> MemoryProbe {
-        let t = self.table_of(key);
+        let t = self.tables.table_of(key);
         self.tables.with(t, |table| self.probe_memory_in(table, key, dispatch))
     }
 
     /// Seqlock-validated variant of [`probe_memory`](Self::probe_memory):
-    /// returns `None` instead of a verdict when a fine-grained writer's
-    /// logical op on the key's table is in progress (the table epoch is
-    /// odd) or completed while the probe ran (the epoch moved) — the
-    /// caller must retry or fall back to a locked path. One state-lock
-    /// critical section; never blocks on a whole-op lock.
+    /// returns `None` instead of a verdict when a writer's logical op on
+    /// the key's table is in progress (the table epoch is odd) or
+    /// completed while the probe ran (the epoch moved) — the caller must
+    /// retry or fall back to a locked path. One state-lock critical
+    /// section; never blocks on a whole-op lock.
     pub fn try_probe_memory(&self, key: Key, dispatch: SimDuration) -> Option<MemoryProbe> {
-        let t = self.table_of(key);
+        let t = self.tables.table_of(key);
         let before = self.tables.epoch_of(t);
         if before & 1 == 1 {
             return None;
@@ -990,13 +917,12 @@ impl<D: Device> Clam<D> {
         Some(probe)
     }
 
-    /// Returns `true` while a fine-grained writer's logical op on `key`'s
-    /// table is in progress (the table's seqlock epoch is odd). The
-    /// `clamd` engine's idle-shard bypass consults this so a bypassed
-    /// scalar LOOKUP never races a table-local writer's half-applied
-    /// mutation.
+    /// Returns `true` while a writer's logical op on `key`'s table is in
+    /// progress (the table's seqlock epoch is odd). The `clamd` engine's
+    /// idle-shard bypass consults this so a bypassed scalar LOOKUP never
+    /// races a table-local writer's half-applied mutation.
     pub fn table_writer_active(&self, key: Key) -> bool {
-        self.tables.epoch_of(self.table_of(key)) & 1 == 1
+        self.tables.epoch_of(self.tables.table_of(key)) & 1 == 1
     }
 
     /// The memory-probe verdict for `key` against one table's state;
@@ -1004,7 +930,7 @@ impl<D: Device> Clam<D> {
     /// [`try_probe_memory`](Self::try_probe_memory).
     fn probe_memory_in(&self, table: &SuperTable, key: Key, dispatch: SimDuration) -> MemoryProbe {
         let filter_words = table.filter_words_per_query();
-        let latency = dispatch + self.mem_words_cost(BUFFER_PROBE_WORDS + filter_words);
+        let latency = dispatch + mem_words_cost(BUFFER_PROBE_WORDS + filter_words);
         if let Some(found) = table.memory_lookup(key) {
             let source = if found.is_some() { LookupSource::Buffer } else { LookupSource::Deleted };
             return MemoryProbe::Resolved(LookupOutcome {
@@ -1035,16 +961,6 @@ impl<D: Device> Clam<D> {
         Ok(self.lookup(key)?.value.is_some())
     }
 
-    /// Deletes `key` (lazily: flash copies are shadowed by the delete list
-    /// and reclaimed at eviction time).
-    pub fn delete(&mut self, key: Key) -> Result<SimDuration> {
-        let t = self.table_of(key);
-        let latency = BASE_OP_OVERHEAD + self.mem_words_cost(BUFFER_PROBE_WORDS + 2);
-        self.tables.with(t, |table| table.delete(key));
-        self.core.get_mut().stats.deletes.record(latency);
-        Ok(latency)
-    }
-
     /// Flushes every non-empty buffer to flash (e.g. before a bulk merge or
     /// shutdown). Returns the total simulated latency.
     ///
@@ -1066,95 +982,150 @@ impl<D: Device> Clam<D> {
     }
 
     // ------------------------------------------------------------------
-    // Fine-grained write path (`&self`: per-table op locks + core lock)
+    // Write path (`&self`: per-table op locks + the short core lock)
     // ------------------------------------------------------------------
 
-    /// Per-op insert through the fine-grained path: takes only `key`'s
-    /// table op lock plus (on flush or for the ack drain) the short core
-    /// lock, so concurrent inserts to *different* tables of this stripe
-    /// commit in parallel. Observationally identical to
-    /// [`insert`](Self::insert) when ops are serialized (property-tested).
-    pub fn fine_insert(&self, key: Key, value: Value) -> Result<InsertOutcome> {
-        let t = self.table_of(key);
+    /// Inserts (or updates) `key` with `value`.
+    ///
+    /// Updates are lazy (§5.1.1): if an older value for the key is already
+    /// on flash it is left there; lookups return the newest value because
+    /// incarnations are examined youngest-first.
+    ///
+    /// Takes only `key`'s table op lock plus, when the buffer is full, the
+    /// short core lock for the flush chain, so concurrent inserts to
+    /// *different* tables commit in parallel.
+    pub fn insert(&self, key: Key, value: Value) -> Result<InsertOutcome> {
+        let t = self.tables.table_of(key);
         let _guard = self.tables.lock_for_write(t);
-        let mut stats = ClamStats::new();
-        let outcome = self.fine_insert_locked(t, key, value, BASE_OP_OVERHEAD, None, &mut stats);
-        self.core.lock().stats.merge(&stats);
-        outcome
+        let op = self.insert_locked(t, key, value, BASE_OP_OVERHEAD, None)?;
+        record_insert(&mut self.core.lock().stats, &op);
+        Ok(op)
     }
 
-    /// Per-op delete through the fine-grained path (op lock + a brief core
-    /// lock for the ledger only — deletes never touch flash).
-    pub fn fine_delete(&self, key: Key) -> Result<SimDuration> {
-        let t = self.table_of(key);
+    /// Alias for [`insert`](Self::insert); updates use the same lazy path.
+    pub fn update(&self, key: Key, value: Value) -> Result<InsertOutcome> {
+        self.insert(key, value)
+    }
+
+    /// Deletes `key` (lazily: flash copies are shadowed by the delete list
+    /// and reclaimed at eviction time). Takes `key`'s table op lock plus a
+    /// brief core lock for the ledger only: deletes never touch flash.
+    pub fn delete(&self, key: Key) -> Result<SimDuration> {
+        let t = self.tables.table_of(key);
         let _guard = self.tables.lock_for_write(t);
-        let latency = BASE_OP_OVERHEAD + self.mem_words_cost(BUFFER_PROBE_WORDS + 2);
+        let latency = BASE_OP_OVERHEAD + mem_words_cost(BUFFER_PROBE_WORDS + 2);
         self.tables.with(t, |table| table.delete(key));
         self.core.lock().stats.deletes.record(latency);
         Ok(latency)
     }
 
-    /// Overrides how many chunks [`fine_insert_batch`](Self::fine_insert_batch)
+    /// Overrides how many chunks [`insert_batch`](Self::insert_batch)
     /// splits a batch into. `None` (the default) uses
-    /// [`std::thread::available_parallelism`]. Tests pass `Some(n > 1)` to
+    /// [`std::thread::available_parallelism`]. A direct `insert_batch`
+    /// call uses no more chunks than one per 1024 ops, so its small
+    /// batches run inline on the calling thread; a
+    /// [`SharedClam`](crate::SharedClam) batch uses every core at any
+    /// size. Tests pass `Some(n > 1)` to
     /// exercise the multi-chunk gate/rendezvous path deterministically,
     /// core count notwithstanding.
     pub fn set_batch_parallelism(&self, chunks: Option<usize>) {
         self.batch_parallelism.store(chunks.unwrap_or(0), Ordering::Relaxed);
     }
 
-    /// Parallel fine-grained twin of [`insert_batch`](Self::insert_batch):
-    /// partitions the batch into per-super-table groups, splits the groups
-    /// into up to `available_parallelism` chunks, and runs the chunks on
-    /// scoped threads — each chunk holding one table op lock at a time, so
-    /// buffer-resident inserts of different tables proceed concurrently.
+    /// Inserts (or updates) a batch of key/value pairs in one call.
     ///
-    /// **Bit-identical to the coarse path by construction.** Two mechanisms
-    /// make that true: ops of one table keep input order under the table's
-    /// op lock, and a [`FlushGate`] orders flush chains across chunks —
-    /// chunk *j*'s first flush waits for chunks *< j* to complete, so
-    /// allocator grants, flush sequence numbers, forced evictions and the
-    /// device timeline replay exactly the sequential (table-ascending)
-    /// order. Stats recorded per chunk merge into the ledger at batch end
-    /// (recorder statistics are order-insensitive multisets). The chunks
-    /// rendezvous on a barrier after taking their first table op lock,
-    /// which is what makes the `table_lock_high_water` ledger deterministic
-    /// on multi-core hosts.
-    pub fn fine_insert_batch(&self, ops: &[(Key, Value)]) -> Result<BatchInsertOutcome>
-    where
-        D: Send,
-    {
+    /// Operations are applied in input order *per super table*, so as long
+    /// as the flash log has not wrapped, the resulting state is
+    /// observationally equivalent to calling [`insert`](Self::insert) for
+    /// each pair in order: the same lookups succeed, the same buffers fill
+    /// at the same points and the same flushes happen. Once capacity wraps,
+    /// flush order *across* tables (ascending table id, which differs from
+    /// the sequential interleaving) decides which incarnations the log
+    /// overwrites, so forced-eviction victims may differ from a sequential
+    /// execution — both are valid FIFO behavior. What always changes is the
+    /// cost: the per-call dispatch overhead is paid once for the whole
+    /// batch, each super table's filters and buffer are walked in one pass,
+    /// and incarnation writes that land on contiguous log slots are
+    /// coalesced into a single sequential device write.
+    ///
+    /// The batch partitions into per-super-table groups, and the groups
+    /// into up to [`set_batch_parallelism`](Self::set_batch_parallelism)
+    /// contiguous chunks that run on scoped threads, each holding one table
+    /// op lock at a time, so buffer-resident inserts of different tables
+    /// proceed concurrently. **The chunk count never changes the result.**
+    /// Ops of one table keep input order under the table's op lock, and a
+    /// `FlushGate` orders flush chains across chunks: chunk *j*'s first
+    /// flush waits for chunks *< j* to complete, so allocator grants, flush
+    /// sequence numbers, forced evictions and the device timeline replay
+    /// the one-chunk (table-ascending) order. Stats recorded per chunk
+    /// merge into the ledger at batch end (recorder statistics are
+    /// order-insensitive multisets). The chunks rendezvous on a barrier
+    /// after taking their first table op lock, which is what makes the
+    /// `table_lock_high_water` ledger deterministic on multi-core hosts.
+    ///
+    /// ```
+    /// use bufferhash::{Clam, ClamConfig};
+    /// use flashsim::Ssd;
+    ///
+    /// let config = ClamConfig::small_test(8 << 20, 2 << 20).unwrap();
+    /// let mut clam = Clam::new(Ssd::intel(8 << 20).unwrap(), config).unwrap();
+    ///
+    /// let ops: Vec<(u64, u64)> = (0..128).map(|i| (i * 7 + 1, i)).collect();
+    /// let batch = clam.insert_batch(&ops).unwrap();
+    /// assert_eq!(batch.ops, 128);
+    /// // Amortized per-op cost is well below a per-op insert's overhead.
+    /// assert!(batch.mean_latency() < bufferhash::BASE_OP_OVERHEAD);
+    /// assert_eq!(clam.lookup(8).unwrap().value, Some(1));
+    /// ```
+    pub fn insert_batch(&self, ops: &[(Key, Value)]) -> Result<BatchInsertOutcome> {
+        self.insert_batch_chunked(ops, usize::MAX, MIN_CHUNK_OPS)
+    }
+
+    /// [`insert_batch`](Self::insert_batch) with the chunk count capped at
+    /// `max_chunks` and, unless
+    /// [`set_batch_parallelism`](Self::set_batch_parallelism) forces it,
+    /// at one chunk per `min_chunk_ops` ops. One chunk runs the whole
+    /// batch inline on the calling thread: the `SharedClam` coarse
+    /// baseline.
+    pub(crate) fn insert_batch_chunked(
+        &self,
+        ops: &[(Key, Value)],
+        max_chunks: usize,
+        min_chunk_ops: usize,
+    ) -> Result<BatchInsertOutcome> {
         let mut outcome = BatchInsertOutcome { ops: ops.len(), ..Default::default() };
         if ops.is_empty() {
             return Ok(outcome);
         }
         let _batch = self.batch_lock.lock();
-        // Partition into per-table groups; ops of one table keep input
-        // order, and tables are processed in ascending id order, exactly
-        // like the coarse path's stable sort.
-        let mut groups: Vec<Vec<(Key, Value)>> = vec![Vec::new(); self.tables.len()];
-        for &(key, value) in ops {
-            groups[self.table_of(key)].push((key, value));
-        }
-        let occupied: Vec<(usize, Vec<(Key, Value)>)> =
-            groups.into_iter().enumerate().filter(|(_, g)| !g.is_empty()).collect();
+        // Partition into per-table groups with one stable sort: ops of one
+        // table keep input order, and tables are processed in ascending id
+        // order.
+        let mut tagged: Vec<(usize, Key, Value)> =
+            ops.iter().map(|&(key, value)| (self.tables.table_of(key), key, value)).collect();
+        tagged.sort_by_key(|op| op.0);
+        let occupied: Vec<TableGroup> = tagged.chunk_by(|a, b| a.0 == b.0).collect();
         let dispatch = batch_dispatch(ops.len());
         let coalesced_before = {
             let mut core = self.core.lock();
             core.stats.batched_inserts += ops.len() as u64;
-            core.coalesce_writes = true;
             core.stats.coalesced_flush_writes
         };
         // Contiguous chunks of whole per-table groups, balanced by op
         // count, one scoped thread each.
         let parallelism = match self.batch_parallelism.load(Ordering::Relaxed) {
-            0 => std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1),
+            // Querying the core count reads cgroup files, which alone
+            // costs more than a small batch: skip it when one chunk is due.
+            0 => match ops.len() / min_chunk_ops {
+                0 | 1 => 1,
+                cap => std::thread::available_parallelism().map_or(1, |p| p.get()).min(cap),
+            },
             n => n,
         };
-        let chunks = split_balanced(occupied, parallelism);
+        let chunks = split_balanced(occupied, parallelism.min(max_chunks));
         let gate = FlushGate::new(chunks.len());
         let rendezvous = std::sync::Barrier::new(chunks.len());
-        let results: Vec<(ClamStats, Result<ChunkOutcome>)> = if chunks.len() == 1 {
+        let results: Vec<(ClamStats, Result<BatchInsertOutcome>)> = if chunks.len() == 1 {
             vec![self.run_batch_chunk(&chunks[0], dispatch, &gate, 0, &rendezvous)]
         } else {
             std::thread::scope(|scope| {
@@ -1171,9 +1142,16 @@ impl<D: Device> Clam<D> {
                 handles.into_iter().map(|h| h.join().expect("batch chunk panicked")).collect()
             })
         };
-        // One core lock to merge chunk ledgers (in chunk order), close the
-        // coalescing window and drain the write ring, mirroring the coarse
-        // batch-end drain.
+        // One core lock to merge chunk ledgers (in chunk order) and drain
+        // the write ring. Finished coalesced
+        // runs were already *admitted* as they formed (so flush traffic
+        // streams out mid-batch and inserts keep flowing); this drain
+        // admits the final run and reaps the ring, and only its makespan is
+        // "deferred" time (charged to the batch, not to any triggering
+        // insert; eviction reads mid-batch sync the ring and are charged to
+        // their op like a sequential flush). It runs even on failure, so
+        // the device stays consistent with the in-memory incarnation
+        // metadata.
         let mut failure = None;
         let mut core = self.core.lock();
         for (stats, result) in results {
@@ -1187,7 +1165,6 @@ impl<D: Device> Clam<D> {
                 Err(e) => failure = failure.or(Some(e)),
             }
         }
-        core.coalesce_writes = false;
         let drained = core.drain_write_ring()?;
         core.stats.deferred_flush_time += drained;
         if let Some(e) = failure {
@@ -1198,36 +1175,33 @@ impl<D: Device> Clam<D> {
         Ok(outcome)
     }
 
-    /// One chunk of a [`fine_insert_batch`](Self::fine_insert_batch): runs
-    /// its per-table groups in ascending table order, holding each table's
-    /// op lock across that table's ops. The first table's lock is taken
+    /// One chunk of an [`insert_batch`](Self::insert_batch): runs its
+    /// per-table groups in ascending table order, holding each table's op
+    /// lock across that table's ops. The first table's lock is taken
     /// *before* the rendezvous barrier so every chunk demonstrably holds a
-    /// lock at the same instant (deterministic lock high-water).
+    /// lock at the same instant (deterministic lock high-water). Returns
+    /// the chunk's scratch ledger and its summed latency, flushed ops and
+    /// evictions; the batch fills in `ops` and `coalesced_writes`.
     fn run_batch_chunk(
         &self,
-        groups: &[(usize, Vec<(Key, Value)>)],
+        groups: &[TableGroup],
         dispatch: SimDuration,
         gate: &FlushGate,
         chunk: usize,
         rendezvous: &std::sync::Barrier,
-    ) -> (ClamStats, Result<ChunkOutcome>) {
+    ) -> (ClamStats, Result<BatchInsertOutcome>) {
         let mut stats = ClamStats::new();
         let _completion = GateCompletion { gate, chunk };
-        let mut first_guard = Some(self.tables.lock_for_write(groups[0].0));
+        let mut first_guard = Some(self.tables.lock_for_write(groups[0][0].0));
         rendezvous.wait();
-        let mut outcome = ChunkOutcome::new();
-        for (t, ops) in groups {
-            let _guard = first_guard.take().unwrap_or_else(|| self.tables.lock_for_write(*t));
-            for &(key, value) in ops {
-                match self.fine_insert_locked(
-                    *t,
-                    key,
-                    value,
-                    dispatch,
-                    Some((gate, chunk)),
-                    &mut stats,
-                ) {
+        let mut outcome = BatchInsertOutcome::default();
+        for group in groups {
+            let t = group[0].0;
+            let _guard = first_guard.take().unwrap_or_else(|| self.tables.lock_for_write(t));
+            for &(_, key, value) in *group {
+                match self.insert_locked(t, key, value, dispatch, Some((gate, chunk))) {
                     Ok(op) => {
+                        record_insert(&mut stats, &op);
                         outcome.latency += op.latency;
                         if op.flushed {
                             outcome.flushed_ops += 1;
@@ -1241,90 +1215,81 @@ impl<D: Device> Clam<D> {
         (stats, Ok(outcome))
     }
 
-    /// Fine-grained insert body; the caller holds table `t`'s op lock.
-    /// Replays the coarse [`insert_with_dispatch`](ClamCore::insert_with_dispatch)
-    /// sequence exactly: try the buffer, and only on `Full` park on the
-    /// flush gate (batch mode), take the core lock and run the
-    /// flush-then-retry loop under it — so allocator grant order equals
-    /// ring admission order and the per-op ack point is untouched. Op
-    /// recorder samples land in `stats` (a scratch ledger merged into the
-    /// core ledger by the caller); flush-side counters are recorded by the
-    /// core itself.
-    fn fine_insert_locked(
+    /// The insert body; the caller holds table `t`'s op lock. Tries the
+    /// buffer first, and only when it is full parks on the flush gate
+    /// (batch chunks), takes the core lock and runs the flush-then-retry
+    /// loop ([`ClamCore::store_flushing`]) under it, so allocator grant
+    /// order equals ring admission order.
+    ///
+    /// `batch` says which call this op belongs to, and that alone decides
+    /// how its flush writes go out. A batch chunk coalesces them into the
+    /// batch's deferred run and leaves them for the batch-end drain. A
+    /// per-op call (`None`) writes its own incarnation, never joins a
+    /// concurrent batch's run, and drains the ring before it returns.
+    /// Grant order is admission order, so that drain also admits and
+    /// reaps whatever earlier-granted batch writes share the device.
+    fn insert_locked(
         &self,
         t: usize,
         key: Key,
         value: Value,
         dispatch: SimDuration,
-        gate: Option<(&FlushGate, usize)>,
-        stats: &mut ClamStats,
+        batch: Option<(&FlushGate, usize)>,
     ) -> Result<InsertOutcome> {
-        let mut latency = dispatch + self.mem_words_cost(BUFFER_PROBE_WORDS + 2);
-        let mut flushed = false;
-        let mut evictions = 0usize;
-        let mut attempts = 0usize;
-        let mut stored = matches!(
+        let latency = dispatch + mem_words_cost(BUFFER_PROBE_WORDS + 2);
+        if matches!(
             self.tables.with(t, |table| table.buffer_insert(key, value)),
             BufferInsert::Stored(_)
+        ) {
+            return Ok(InsertOutcome { latency, flushed: false, evictions: 0 });
+        }
+        // Never wait on the gate while holding the core lock: the gate
+        // orders this op's flush chain behind earlier chunks' chains.
+        if let Some((gate, chunk)) = batch {
+            gate.wait_turn(chunk);
+        }
+        let mut core = self.core.lock();
+        let flush =
+            core.store_flushing(&self.tables, t, key, value, batch.is_some(), |attempt| attempt);
+        // A per-op call closes its ring even on failure, so in-flight
+        // writes are reaped and the device stays usable.
+        let drained = if batch.is_none() { core.drain_write_ring() } else { Ok(SimDuration::ZERO) };
+        let flush = flush?;
+        let latency = latency + drained? + flush.map_or(SimDuration::ZERO, |f| f.latency);
+        // The acknowledgment point (DESIGN.md "Crash consistency"): a
+        // per-op insert is acked only once nothing of its flush chain
+        // remains deferred or in flight on the ring.
+        debug_assert!(
+            batch.is_some() || (core.pending_writes.is_empty() && core.ring.is_none()),
+            "insert acked with flush writes still in flight"
         );
-        if !stored {
-            // Never wait on the gate while holding the core lock: the gate
-            // orders this op's flush chain behind earlier chunks' chains.
-            if let Some((gate, chunk)) = gate {
-                gate.wait_turn(chunk);
-            }
-            let mut core = self.core.lock();
-            while !stored {
-                match core.flush_table(&self.tables, t, attempts) {
-                    Ok(flush) => {
-                        latency += flush.latency;
-                        evictions += flush.evictions;
-                        flushed = true;
-                        attempts += 1;
-                    }
-                    Err(e) => {
-                        // Close the op's ring even on failure so in-flight
-                        // writes are reaped and the device stays usable.
-                        if !core.coalesce_writes {
-                            core.drain_write_ring().ok();
-                        }
-                        return Err(e);
-                    }
-                }
-                stored = matches!(
-                    self.tables.with(t, |table| table.buffer_insert(key, value)),
-                    BufferInsert::Stored(_)
-                );
-            }
-            if !core.coalesce_writes {
-                latency += core.drain_write_ring()?;
-                // The acknowledgment point (DESIGN.md "Crash consistency"):
-                // a per-op insert is acked only once nothing of its flush
-                // chain remains deferred or in flight on the ring.
-                debug_assert!(
-                    core.pending_writes.is_empty() && core.ring.is_none(),
-                    "insert acked with flush writes still in flight"
-                );
-            }
-        }
-        if flushed {
-            stats.record_cascade(evictions.max(1));
-        }
-        stats.inserts.record(latency);
-        Ok(InsertOutcome { latency, flushed, evictions })
+        Ok(InsertOutcome {
+            latency,
+            flushed: flush.is_some(),
+            evictions: flush.map_or(0, |f| f.evictions),
+        })
     }
 }
 
-/// One super table's slice of a batch: the table id and its ops in input
-/// order.
-type TableGroup = (usize, Vec<(Key, Value)>);
+/// Records one insert's recorder sample and, when it flushed, its eviction
+/// cascade depth into `stats`.
+fn record_insert(stats: &mut ClamStats, op: &InsertOutcome) {
+    if op.flushed {
+        stats.record_cascade(op.evictions.max(1));
+    }
+    stats.inserts.record(op.latency);
+}
+
+/// One super table's slice of a batch: its ops in input order, each
+/// tagged with the table id.
+type TableGroup<'a> = &'a [(usize, Key, Value)];
 
 /// Splits per-table groups into at most `parallelism` contiguous chunks,
 /// balanced by op count (each chunk gets whole groups; a chunk closes once
 /// it reaches its fair share of the remaining ops).
 fn split_balanced(groups: Vec<TableGroup>, parallelism: usize) -> Vec<Vec<TableGroup>> {
     let chunk_count = parallelism.min(groups.len()).max(1);
-    let total_ops: usize = groups.iter().map(|(_, g)| g.len()).sum();
+    let total_ops: usize = groups.iter().map(|g| g.len()).sum();
     let mut chunks: Vec<Vec<TableGroup>> = Vec::with_capacity(chunk_count);
     let mut current: Vec<TableGroup> = Vec::new();
     let mut current_ops = 0usize;
@@ -1334,7 +1299,7 @@ fn split_balanced(groups: Vec<TableGroup>, parallelism: usize) -> Vec<Vec<TableG
         let remaining_chunks = chunk_count - chunks.len();
         let remaining_groups = groups_len - idx;
         let target = (total_ops - placed_ops).div_ceil(remaining_chunks);
-        current_ops += group.1.len();
+        current_ops += group.len();
         current.push(group);
         // Close the chunk at its fair share, but never strand later chunks
         // without a group each.
@@ -1353,17 +1318,6 @@ fn split_balanced(groups: Vec<TableGroup>, parallelism: usize) -> Vec<Vec<TableG
 }
 
 impl<D: Device> ClamCore<D> {
-    /// Super table responsible for `key`; must agree with
-    /// [`Clam::table_of`] (same seed, same table count).
-    fn table_of(&self, key: Key) -> usize {
-        (hash_with_seed(key, 0x7a_b1e5) % self.num_tables as u64) as usize
-    }
-
-    /// Cost of touching `words` 64-bit words of DRAM.
-    fn mem_words_cost(&self, words: usize) -> SimDuration {
-        WORD_COST * words as u64 + self.mem_cost.cost(words * 8)
-    }
-
     /// The recovery scan behind [`Clam::recover`]; see its documentation.
     fn recover_scan(&mut self, tables: &TableSet) -> Result<RecoveryReport> {
         let layout = self.layout;
@@ -1539,117 +1493,6 @@ impl<D: Device> ClamCore<D> {
         })
     }
 
-    /// Insert body shared by the per-op and batched paths; `dispatch` is the
-    /// fixed overhead charged to this op (full for per-op calls, amortized
-    /// for batched ones).
-    fn insert_with_dispatch(
-        &mut self,
-        tables: &TableSet,
-        key: Key,
-        value: Value,
-        dispatch: SimDuration,
-    ) -> Result<InsertOutcome> {
-        let t = self.table_of(key);
-        let mut latency = dispatch + self.mem_words_cost(BUFFER_PROBE_WORDS + 2);
-        let mut flushed = false;
-        let mut evictions = 0usize;
-        // `attempts` doubles as the cascade depth: when partial-discard
-        // eviction keeps retaining whole incarnations the policy degrades to
-        // full discard after `k` rounds (§7.4), guaranteeing termination.
-        let mut attempts = 0usize;
-        loop {
-            match tables.with(t, |table| table.buffer_insert(key, value)) {
-                BufferInsert::Stored(_) => break,
-                BufferInsert::Full => match self.flush_table(tables, t, attempts) {
-                    Ok(flush) => {
-                        latency += flush.latency;
-                        evictions += flush.evictions;
-                        flushed = true;
-                        attempts += 1;
-                    }
-                    Err(e) => {
-                        // Close the op's ring even on failure so in-flight
-                        // writes are reaped and the device stays usable.
-                        if !self.coalesce_writes {
-                            self.drain_write_ring().ok();
-                        }
-                        return Err(e);
-                    }
-                },
-            }
-        }
-        if flushed {
-            self.stats.record_cascade(evictions.max(1));
-        }
-        // A per-op call owns its ring: the flush chain's device time (its
-        // makespan, overlap-accounted) is charged to this insert. Batched
-        // calls leave the ring open; the batch-end drain charges it.
-        if !self.coalesce_writes {
-            latency += self.drain_write_ring()?;
-            // The acknowledgment point (DESIGN.md "Crash consistency"): a
-            // per-op insert is acked only once nothing of its flush chain
-            // remains deferred or in flight on the ring.
-            debug_assert!(
-                self.pending_writes.is_empty() && self.ring.is_none(),
-                "insert acked with flush writes still in flight"
-            );
-        }
-        self.stats.inserts.record(latency);
-        Ok(InsertOutcome { latency, flushed, evictions })
-    }
-
-    /// The sequential batch-insert body behind [`Clam::insert_batch`];
-    /// `order` is the stable table-sorted index order.
-    fn insert_batch_ordered(
-        &mut self,
-        tables: &TableSet,
-        ops: &[(Key, Value)],
-        order: &[usize],
-    ) -> Result<BatchInsertOutcome> {
-        let mut outcome = BatchInsertOutcome { ops: ops.len(), ..Default::default() };
-        if ops.is_empty() {
-            return Ok(outcome);
-        }
-        let dispatch = batch_dispatch(ops.len());
-        let coalesced_before = self.stats.coalesced_flush_writes;
-        self.stats.batched_inserts += ops.len() as u64;
-        self.coalesce_writes = true;
-        let mut failure = None;
-        for &i in order {
-            let (key, value) = ops[i];
-            match self.insert_with_dispatch(tables, key, value, dispatch) {
-                Ok(op) => {
-                    outcome.latency += op.latency;
-                    if op.flushed {
-                        outcome.flushed_ops += 1;
-                    }
-                    outcome.evictions += op.evictions;
-                }
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            }
-        }
-        // Close the write ring even on failure so the device stays
-        // consistent with the in-memory incarnation metadata. Finished
-        // coalesced runs were already *admitted* as they formed (so flush
-        // traffic streams out mid-batch and inserts keep flowing); this
-        // end-of-batch drain admits the final run and reaps the ring, and
-        // only its makespan is "deferred" time (charged to the batch, not
-        // to any triggering insert). Eviction reads mid-batch sync the
-        // ring and are charged to their op like a sequential flush.
-        self.coalesce_writes = false;
-        let drained = self.drain_write_ring()?;
-        self.stats.deferred_flush_time += drained;
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        outcome.latency += drained;
-        outcome.coalesced_writes = (self.stats.coalesced_flush_writes - coalesced_before) as usize;
-        Ok(outcome)
-    }
-
     /// Buffer and delete-list checks plus probe planning, shared by the
     /// ring and wave pipelines: resolves every key it can from memory
     /// (recording its stats) and returns a probe state machine for each
@@ -1662,7 +1505,7 @@ impl<D: Device> ClamCore<D> {
     ) -> LookupPlan {
         let mut order: Vec<usize> = (0..keys.len()).collect();
         // Stable sort: keys for one super table keep their input order.
-        order.sort_by_key(|&i| self.table_of(keys[i]));
+        order.sort_by_key(|&i| tables.table_of(keys[i]));
         let mut plan = LookupPlan {
             out: vec![None; keys.len()],
             pending: Vec::new(),
@@ -1671,7 +1514,7 @@ impl<D: Device> ClamCore<D> {
         };
         for &slot in &order {
             let key = keys[slot];
-            let t = self.table_of(key);
+            let t = tables.table_of(key);
             let (filter_words, found_in_memory, candidates) = tables.with(t, |table| {
                 let found = table.memory_lookup(key);
                 // Candidate incarnations, youngest first, guided by the
@@ -1680,7 +1523,7 @@ impl<D: Device> ClamCore<D> {
                     if found.is_none() { table.candidate_incarnations(key) } else { Vec::new() };
                 (table.filter_words_per_query(), found, candidates)
             });
-            let latency = dispatch + self.mem_words_cost(BUFFER_PROBE_WORDS + filter_words);
+            let latency = dispatch + mem_words_cost(BUFFER_PROBE_WORDS + filter_words);
             plan.host_time += latency;
             if let Some(found) = found_in_memory {
                 let source =
@@ -2032,67 +1875,43 @@ impl<D: Device> ClamCore<D> {
         if reinserts.is_empty() {
             return Ok(());
         }
-        let was_coalescing = self.coalesce_writes;
-        self.coalesce_writes = true;
-        let mut cost = SimDuration::ZERO;
-        let mut failure = None;
-        'reinserts: for (t, key, value) in reinserts {
-            let mut attempts = 0usize;
-            loop {
-                match tables.with(t, |table| table.buffer_insert(key, value)) {
-                    BufferInsert::Stored(_) => break,
-                    BufferInsert::Full => match self.flush_table(tables, t, attempts) {
-                        Ok(flush) => {
-                            cost += flush.latency;
-                            attempts += 1;
-                        }
-                        Err(e) => {
-                            failure = Some(e);
-                            break 'reinserts;
-                        }
-                    },
-                }
+        let cost = self.coalescing(|core| {
+            let mut cost = SimDuration::ZERO;
+            for (t, key, value) in reinserts {
+                let flush = core.store_flushing(tables, t, key, value, true, |attempt| attempt)?;
+                cost += flush.map_or(SimDuration::ZERO, |f| f.latency);
+                core.stats.reinsertions += 1;
             }
-            self.stats.reinsertions += 1;
-        }
-        // Drain even on failure so the device matches the incarnation
-        // metadata registered so far.
-        self.coalesce_writes = was_coalescing;
-        let drained = self.drain_write_ring();
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        cost += drained?;
+            Ok(cost)
+        })?;
         self.stats.async_reinsert_time += cost;
         Ok(())
     }
 
     /// The whole-index flush behind [`Clam::flush_all`].
     fn flush_all(&mut self, tables: &TableSet) -> Result<SimDuration> {
-        let mut total = SimDuration::ZERO;
-        let was_coalescing = self.coalesce_writes;
-        self.coalesce_writes = true;
-        let mut failure = None;
-        for t in 0..tables.len() {
-            if tables.with(t, |table| table.buffer_len()) > 0 {
-                match self.flush_table(tables, t, 0) {
-                    Ok(flush) => total += flush.latency,
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
+        self.coalescing(|core| {
+            let mut total = SimDuration::ZERO;
+            for t in 0..tables.len() {
+                if tables.with(t, |table| table.buffer_len()) > 0 {
+                    total += core.flush_table(tables, t, 0, true)?.latency;
                 }
             }
-        }
-        // Drain even on failure so the device matches the in-memory
-        // incarnation metadata registered so far.
-        self.coalesce_writes = was_coalescing;
+            Ok(total)
+        })
+    }
+
+    /// Runs `body`, whose flushes coalesce their incarnation writes into
+    /// deferred runs on the call's ring, then drains the ring even when
+    /// `body` fails, so the device matches the incarnation metadata
+    /// registered so far. Returns `body`'s cost plus the drain's.
+    fn coalescing(
+        &mut self,
+        body: impl FnOnce(&mut Self) -> Result<SimDuration>,
+    ) -> Result<SimDuration> {
+        let cost = body(self);
         let drained = self.drain_write_ring();
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        total += drained?;
-        Ok(total)
+        Ok(cost? + drained?)
     }
 }
 
@@ -2103,20 +1922,26 @@ impl<D: Device> ClamCore<D> {
 
     /// One flush chain for table `t`: evict if the incarnation table is
     /// full, write the buffer out as a new incarnation, cascade on
-    /// retained re-inserts. Dispatches to the **ring-driven** write path
-    /// (the default: writes are admitted to the call's shared completion
-    /// ring without waiting, so they overlap each other and any probe
-    /// traffic on the same ring) or to the blocking **barrier** reference
-    /// path when [`Clam::set_barrier_writes`] is on.
+    /// retained re-inserts. The eviction and the incarnation write go
+    /// through the **ring-driven** path (the default: requests are
+    /// admitted to the call's shared completion ring without waiting, so
+    /// they overlap each other and any probe traffic on the same ring) or
+    /// through the blocking **barrier** reference path when
+    /// [`Clam::set_barrier_writes`] is on. `coalesce` is the calling mode:
+    /// true (batch chunks, `flush_all`, LRU re-inserts) merges the write
+    /// into the call's deferred contiguous run; false (per-op inserts)
+    /// writes it on its own.
     ///
-    /// Runs entirely under one core lock on the fine-grained path, so the
-    /// allocator grant and the ring admission of the resulting write are
-    /// atomic — grant order *is* admission order, which devices apply as
+    /// Runs entirely under one core lock, so the allocator grant and the
+    /// ring admission of the resulting write are atomic — grant order *is* admission order, which devices apply as
     /// data-effect order (the PR-7 ack invariant).
-    fn flush_table(&mut self, tables: &TableSet, t: usize, depth: usize) -> Result<FlushOutcome> {
-        if self.barrier_writes {
-            return self.flush_table_barrier(tables, t, depth);
-        }
+    fn flush_table(
+        &mut self,
+        tables: &TableSet,
+        t: usize,
+        depth: usize,
+        coalesce: bool,
+    ) -> Result<FlushOutcome> {
         let mut latency = SimDuration::ZERO;
         let mut evictions = 0usize;
 
@@ -2129,7 +1954,11 @@ impl<D: Device> ClamCore<D> {
         if num_incarnations >= max_incarnations {
             let policy =
                 if depth >= max_incarnations { EvictionPolicy::Fifo } else { self.config.eviction };
-            let (evict_lat, kept) = self.evict_oldest(tables, t, &policy)?;
+            let (evict_lat, kept) = if self.barrier_writes {
+                self.evict_oldest_barrier(tables, t, &policy)?
+            } else {
+                self.evict_oldest(tables, t, &policy)?
+            };
             latency += evict_lat;
             retained = kept;
             evictions += 1;
@@ -2157,13 +1986,25 @@ impl<D: Device> ClamCore<D> {
                     self.stats.forced_evictions += 1;
                 }
             }
-            if self.coalesce_writes && alloc.blocks_to_erase.is_empty() {
+            if coalesce && alloc.blocks_to_erase.is_empty() {
                 // Batched path (SSD global log): coalesce into the current
                 // contiguous run. A non-contiguous slot admits the finished
                 // run to the ring first (see `push_coalesced_write`), so
                 // flush traffic streams out mid-batch instead of pooling
-                // behind the whole batch.
+                // behind the whole batch; the barrier path pools the writes
+                // for its batch-end drain.
                 self.push_coalesced_write(alloc.offset, image)?;
+            } else if self.barrier_writes {
+                // Erases must not be reordered with already-deferred
+                // writes, so drain first. The erases and the incarnation
+                // write then go to the device as one in-order submission
+                // (devices apply request effects in submission order, so
+                // erase-before-program is preserved).
+                latency += self.drain_pending_writes_barrier()?;
+                let mut requests: Vec<IoRequest> =
+                    alloc.blocks_to_erase.iter().map(|&block| IoRequest::Erase { block }).collect();
+                requests.push(IoRequest::write(alloc.offset, image));
+                latency += self.submit_checked(&mut requests)?.0;
             } else {
                 // Erase-before-program and write-after-write ordering both
                 // rest on admission order: devices apply data effects in
@@ -2196,118 +2037,49 @@ impl<D: Device> ClamCore<D> {
         // into another flush (§7.4).
         for e in retained {
             self.stats.reinsertions += 1;
-            loop {
-                match tables.with(t, |table| table.buffer_insert(e.key, e.value)) {
-                    BufferInsert::Stored(_) => break,
-                    BufferInsert::Full => {
-                        let inner = self.flush_table(tables, t, depth + 1)?;
-                        latency += inner.latency;
-                        evictions += inner.evictions;
-                    }
-                }
+            if let Some(inner) =
+                self.store_flushing(tables, t, e.key, e.value, coalesce, |_| depth + 1)?
+            {
+                latency += inner.latency;
+                evictions += inner.evictions;
             }
         }
 
         Ok(FlushOutcome { latency, evictions })
     }
 
-    /// The blocking **barrier** reference implementation of
-    /// [`flush_table`](Self::flush_table): every incarnation write goes
-    /// through [`Device::submit`](flashsim::Device::submit) (or pools for a
-    /// blocking batch-end drain), paying each submission's full latency
-    /// before the next starts. Kept verbatim as the baseline the
-    /// ring-driven path is property-tested against (observationally
-    /// equivalent on stored state and device counters) and raced against
-    /// in the `io_queue_depth` harness.
-    fn flush_table_barrier(
+    /// The one buffer-full → flush → retry loop: stores `(key, value)` in
+    /// table `t`'s buffer, flushing the table whenever the buffer is full.
+    /// The `n`-th flush runs at cascade depth `depth(n)`. A fresh insert
+    /// deepens with every retry, so when partial-discard eviction keeps
+    /// retaining whole incarnations the policy degrades to full discard
+    /// after `k` rounds (§7.4), which guarantees termination; an entry
+    /// retained inside a flush chain retries one level below that chain.
+    /// Returns the flushes' summed outcome, or `None` when the buffer took
+    /// the entry straight away. `coalesce` is passed to every flush
+    /// ([`flush_table`](Self::flush_table)).
+    fn store_flushing(
         &mut self,
         tables: &TableSet,
         t: usize,
-        depth: usize,
-    ) -> Result<FlushOutcome> {
-        let mut latency = SimDuration::ZERO;
-        let mut evictions = 0usize;
-
-        // Make room in the incarnation table if needed, applying the
-        // configured eviction policy. Beyond `k` cascades fall back to full
-        // discard to guarantee termination (§7.4).
-        let mut retained: Vec<Entry> = Vec::new();
-        let (num_incarnations, max_incarnations) =
-            tables.with(t, |table| (table.num_incarnations(), table.max_incarnations()));
-        if num_incarnations >= max_incarnations {
-            let policy =
-                if depth >= max_incarnations { EvictionPolicy::Fifo } else { self.config.eviction };
-            let (evict_lat, kept) = self.evict_oldest_barrier(tables, t, &policy)?;
-            latency += evict_lat;
-            retained = kept;
-            evictions += 1;
+        key: Key,
+        value: Value,
+        coalesce: bool,
+        depth: impl Fn(usize) -> usize,
+    ) -> Result<Option<FlushOutcome>> {
+        let mut total: Option<FlushOutcome> = None;
+        let mut attempts = 0usize;
+        while !matches!(
+            tables.with(t, |table| table.buffer_insert(key, value)),
+            BufferInsert::Stored(_)
+        ) {
+            let flush = self.flush_table(tables, t, depth(attempts), coalesce)?;
+            attempts += 1;
+            let sum = total.get_or_insert(FlushOutcome::default());
+            sum.latency += flush.latency;
+            sum.evictions += flush.evictions;
         }
-
-        // Write the buffer out as a new incarnation.
-        let entries = tables.with(t, |table| table.drain_buffer());
-        if !entries.is_empty() {
-            let keys: Vec<Key> = entries.iter().map(|e| e.key).collect();
-            let layout = self.layout;
-            self.seq += 1;
-            let seq = self.seq;
-            let image = layout.serialize_identified(
-                &entries,
-                IncarnationIdentity { table: t as u16, seq, epoch: self.epoch },
-            )?;
-            let alloc = self.allocator.allocate(t, seq)?;
-            // Force-evict incarnations whose slots this write reclaims.
-            for owner in &alloc.displaced {
-                let dropped = tables.with(owner.table, |table| table.force_evict_up_to(owner.seq));
-                for meta in dropped {
-                    self.allocator.release(meta.flash_offset);
-                    self.stats.forced_evictions += 1;
-                }
-            }
-            if self.coalesce_writes && alloc.blocks_to_erase.is_empty() {
-                // Batched path (SSD global log): defer the write so runs of
-                // contiguous slots flushed by the same batch become one
-                // sequential device write. Drained before any flash read
-                // and at the end of the batch.
-                self.pending_writes.push((alloc.offset, image));
-            } else {
-                // Erases must not be reordered with already-deferred
-                // writes, so drain first. The erases and the incarnation
-                // write then go to the device as one in-order submission
-                // (devices apply request effects in submission order, so
-                // erase-before-program is preserved).
-                latency += self.drain_pending_writes_barrier()?;
-                let mut requests: Vec<IoRequest> =
-                    alloc.blocks_to_erase.iter().map(|&block| IoRequest::Erase { block }).collect();
-                requests.push(IoRequest::write(alloc.offset, image));
-                latency += self.submit_checked(&mut requests)?.0;
-            }
-            tables.with(t, |table| {
-                table.register_incarnation(
-                    IncarnationMeta { flash_offset: alloc.offset, entries: entries.len(), seq },
-                    &keys,
-                );
-                table.prune_delete_list();
-            });
-            self.stats.flushes += 1;
-        }
-
-        // Re-insert retained entries; this can refill the buffer and cascade
-        // into another flush (§7.4).
-        for e in retained {
-            self.stats.reinsertions += 1;
-            loop {
-                match tables.with(t, |table| table.buffer_insert(e.key, e.value)) {
-                    BufferInsert::Stored(_) => break,
-                    BufferInsert::Full => {
-                        let inner = self.flush_table_barrier(tables, t, depth + 1)?;
-                        latency += inner.latency;
-                        evictions += inner.evictions;
-                    }
-                }
-            }
-        }
-
-        Ok(FlushOutcome { latency, evictions })
+        Ok(total)
     }
 
     /// Evicts the oldest incarnation of table `t` under `policy` through
@@ -2356,7 +2128,7 @@ impl<D: Device> ClamCore<D> {
                 .and_then(|c| c.result.ok())
                 .expect("read completion checked");
             // Deciding staleness also probes the in-memory filters.
-            latency += self.mem_words_cost(oldest.entries * 2);
+            latency += mem_words_cost(oldest.entries * 2);
             let entries = parse_incarnation(&image, &layout)
                 .map_err(|e| annotate_offset(e, oldest.flash_offset))?;
             tables.with(t, |table| {
@@ -2389,7 +2161,7 @@ impl<D: Device> ClamCore<D> {
     /// The blocking barrier reference implementation of
     /// [`evict_oldest`](Self::evict_oldest): drains deferred writes, then
     /// scans and trims via blocking submissions. Used by
-    /// [`flush_table_barrier`](Self::flush_table_barrier).
+    /// [`flush_table`](Self::flush_table) when barrier writes are on.
     fn evict_oldest_barrier(
         &mut self,
         tables: &TableSet,
@@ -2422,7 +2194,7 @@ impl<D: Device> ClamCore<D> {
                 .and_then(|c| c.result.ok())
                 .expect("read completion checked");
             // Deciding staleness also probes the in-memory filters.
-            latency += self.mem_words_cost(oldest.entries * 2);
+            latency += mem_words_cost(oldest.entries * 2);
             let entries = parse_incarnation(&image, &layout)
                 .map_err(|e| annotate_offset(e, oldest.flash_offset))?;
             tables.with(t, |table| {
@@ -2660,7 +2432,7 @@ pub(crate) fn batch_dispatch(len: usize) -> SimDuration {
 }
 
 /// Result of one flush chain.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct FlushOutcome {
     latency: SimDuration,
     evictions: usize,
@@ -2929,7 +2701,7 @@ mod tests {
 
     #[test]
     fn insert_latency_is_microseconds_on_average() {
-        let mut clam = small_clam();
+        let clam = small_clam();
         for i in 0..50_000u64 {
             clam.insert(key(i), i).unwrap();
         }
@@ -2977,7 +2749,7 @@ mod tests {
     fn update_based_eviction_retains_unmodified_entries() {
         let mut cfg = ClamConfig::small_test(2 << 20, 1 << 20).unwrap();
         cfg.eviction = EvictionPolicy::UpdateBased;
-        let mut clam = Clam::new(Ssd::intel(2 << 20).unwrap(), cfg).unwrap();
+        let clam = Clam::new(Ssd::intel(2 << 20).unwrap(), cfg).unwrap();
         let mut cascades_seen = false;
         for i in 0..80_000u64 {
             // 40% of inserts update recent keys, the rest are new.
@@ -3002,7 +2774,7 @@ mod tests {
         let mut cfg = ClamConfig::small_test(2 << 20, 1 << 20).unwrap();
         cfg.eviction = EvictionPolicy::priority_threshold(u64::MAX);
         // Threshold of MAX means nothing is retained: behaves like FIFO.
-        let mut clam = Clam::new(Ssd::intel(2 << 20).unwrap(), cfg).unwrap();
+        let clam = Clam::new(Ssd::intel(2 << 20).unwrap(), cfg).unwrap();
         for i in 0..60_000u64 {
             clam.insert(key(i), i).unwrap();
         }
@@ -3119,8 +2891,8 @@ mod tests {
 
     #[test]
     fn insert_batch_amortizes_latency() {
-        let mut seq = small_clam();
-        let mut bat = small_clam();
+        let seq = small_clam();
+        let bat = small_clam();
         let ops: Vec<(Key, Value)> = (0..50_000u64).map(|i| (key(i), i)).collect();
         let mut seq_total = SimDuration::ZERO;
         for &(k, v) in &ops {
@@ -3139,7 +2911,7 @@ mod tests {
 
     #[test]
     fn insert_batch_coalesces_contiguous_flush_writes() {
-        let mut clam = small_clam();
+        let clam = small_clam();
         // One giant batch triggers many flushes; with the global log they
         // land on contiguous slots and coalesce.
         let ops: Vec<(Key, Value)> = (0..120_000u64).map(|i| (key(i), i)).collect();
@@ -3254,12 +3026,53 @@ mod tests {
     }
 
     #[test]
+    fn per_op_insert_acks_its_flush_inside_an_open_batch_window() {
+        // A batch chunk that flushed leaves its incarnation write in the
+        // core's deferred run until the batch-end drain. A per-op insert
+        // that flushes meanwhile (from another thread on the same stripe)
+        // must not join that run: it drains the ring before it acks,
+        // charges the flush to its own latency, and leaves the batch's
+        // coalescing ledger alone.
+        let clam = small_clam();
+        let gate = FlushGate::new(1);
+        let batch_table = clam.tables.table_of(key(0));
+        (0u64..)
+            .map(key)
+            .filter(|&k| clam.tables.table_of(k) == batch_table)
+            .map(|k| {
+                let _guard = clam.tables.lock_for_write(batch_table);
+                clam.insert_locked(batch_table, k, 1, BASE_OP_OVERHEAD, Some((&gate, 0))).unwrap()
+            })
+            .find(|op| op.flushed)
+            .unwrap();
+        let coalesced_before = {
+            let core = clam.core.lock();
+            assert_eq!(core.pending_writes.len(), 1, "the batch chunk's write should be deferred");
+            core.stats.coalesced_flush_writes
+        };
+        let op = (0u64..)
+            .map(key)
+            .filter(|&k| clam.tables.table_of(k) != batch_table)
+            .map(|k| clam.insert(k, 2).unwrap())
+            .find(|op| op.flushed)
+            .unwrap();
+        let core = clam.core.lock();
+        assert!(core.ring.is_none(), "the per-op insert left its ring open");
+        assert!(core.pending_writes.is_empty(), "the per-op insert left its flush write deferred");
+        assert!(op.latency > SimDuration::from_micros(10), "flush not charged: {}", op.latency);
+        assert_eq!(
+            core.stats.coalesced_flush_writes, coalesced_before,
+            "the per-op flush joined the batch's coalesced run"
+        );
+    }
+
+    #[test]
     fn table_partitioning_spreads_keys() {
         let clam = small_clam();
         let tables = clam.num_super_tables();
         let mut counts = vec![0usize; tables];
         for i in 0..10_000u64 {
-            counts[clam.table_of(key(i))] += 1;
+            counts[clam.tables.table_of(key(i))] += 1;
         }
         let expected = 10_000 / tables;
         assert!(counts.iter().all(|&c| c > expected / 3 && c < expected * 3));

@@ -24,8 +24,6 @@
 //! reports the batch latency as the *maximum over stripes* rather than the
 //! sum — the same max-over-lanes accounting the
 //! [`flashsim` submission queues](flashsim::queue) use below it.
-//! [`StripedClam::insert_batch_serial`] keeps the one-stripe-at-a-time
-//! reference path (summed latency) for comparison and debugging.
 //! [`StripedClam::lookup_batch`] composes both levels of overlap: stripes
 //! run concurrently, and within each stripe the queued probe pipeline
 //! ([`Clam::lookup_batch`]) overlaps flash page reads on the device's
@@ -48,21 +46,22 @@
 //!
 //! ## Intra-stripe write concurrency
 //!
-//! Since PR 10 writes use the same shared/exclusive split. Fine-grained
-//! inserts and deletes hold the stripe's **read** lock for the whole
-//! logical op and serialize per super table inside the [`Clam`]
-//! ([`Clam::fine_insert`], [`Clam::fine_insert_batch`]): two writers
-//! whose keys land on different tables of one stripe commit in parallel,
-//! coordinated only through the short core critical section that orders
-//! allocator grants and ring admissions. The global write epoch stays
-//! even while fine writers run — the read fast path instead validates
-//! against the **per-table** seqlock epochs via
-//! [`Clam::try_probe_memory`], so a fast read conflicts exactly with
-//! writers on *its* table, not with every writer on the stripe.
-//! Exclusive entry points ([`SharedClam::with`], `flush_all`, recovery)
-//! still take the write lock, which drains all fine writers first.
-//! Coarse mode routes writes through the exclusive path too, restoring
-//! the strict stripe-global baseline bit for bit.
+//! Writes use the same shared/exclusive split. [`Clam`] has one write
+//! path ([`Clam::insert`], [`Clam::insert_batch`], [`Clam::delete`], all
+//! `&self`), which serializes per super table on the table's op lock.
+//! By default inserts and deletes hold the stripe's **read** lock for the
+//! whole logical op, so two writers whose keys land on different tables
+//! of one stripe commit in parallel, coordinated only through the short
+//! core critical section that orders allocator grants and ring
+//! admissions. The global write epoch stays even while these writers
+//! run — the read fast path instead validates against the **per-table**
+//! seqlock epochs via [`Clam::try_probe_memory`], so a fast read
+//! conflicts exactly with writers on *its* table, not with every writer
+//! on the stripe. Exclusive entry points ([`SharedClam::with`],
+//! `flush_all`, recovery) still take the write lock, which drains every
+//! writer first. Coarse mode runs the same write calls under the write
+//! lock, with batch inserts capped at one chunk — the strict
+//! stripe-global baseline.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -144,11 +143,12 @@ impl<D: Device> SharedClam<D> {
         self.inner.fast_ledger.lock().fast_read_conflicts += 1;
     }
 
-    /// Switches between the fine-grained default — epoch-validated read
-    /// fast path plus per-super-table write locks — and the coarse
+    /// Switches between the default — epoch-validated read fast path,
+    /// writes under the shared stripe lock — and the coarse
     /// everything-exclusive baseline, where every op takes the stripe's
-    /// write lock. Coarse mode is kept for A/B comparisons and the
-    /// equivalence property tests; outcomes are identical in both modes.
+    /// write lock and batch inserts run as one chunk. Both modes run the
+    /// same write code; coarse mode is kept for A/B comparisons and the
+    /// equivalence property tests, and outcomes are identical in both.
     pub fn set_coarse_locks(&self, coarse: bool) {
         self.inner.coarse.store(coarse, Ordering::SeqCst);
     }
@@ -159,7 +159,8 @@ impl<D: Device> SharedClam<D> {
     }
 
     /// Forwards [`Clam::set_batch_parallelism`]: overrides the chunk count
-    /// of fine-grained batch inserts (`None` = `available_parallelism`).
+    /// of batch inserts (`None` = `available_parallelism`). Coarse mode
+    /// still runs every batch as one chunk.
     pub fn set_batch_parallelism(&self, chunks: Option<usize>) {
         self.inner.clam.read().set_batch_parallelism(chunks);
     }
@@ -213,17 +214,25 @@ impl<D: Device> SharedClam<D> {
         Some(outcome)
     }
 
-    /// Inserts (or updates) a key. By default this is a **fine-grained**
-    /// write: it holds the stripe's shared (read) lock and serializes only
-    /// on the key's super-table op lock ([`Clam::fine_insert`]), so
-    /// inserts landing on different tables of this stripe commit in
-    /// parallel. Coarse mode routes through the exclusive stripe lock
-    /// instead; outcomes are identical either way.
-    pub fn insert(&self, key: Key, value: Value) -> Result<InsertOutcome> {
-        if self.inner.coarse.load(Ordering::SeqCst) {
-            return self.with_write(|c| c.insert(key, value));
+    /// Runs a write under the stripe lock the current mode calls for, and
+    /// passes it the chunk cap for batch inserts. By default that is the
+    /// shared (read) lock: the [`Clam`]'s per-table op locks serialize
+    /// writers per super table, so writes to different tables of this
+    /// stripe commit in parallel, and batches use every chunk
+    /// [`Clam::set_batch_parallelism`] allows. Coarse mode runs the same
+    /// code under the exclusive lock, with batches capped at one chunk.
+    fn with_writer<R>(&self, f: impl FnOnce(&Clam<D>, usize) -> R) -> R {
+        if self.coarse_locks() {
+            self.with_write(|c| f(c, 1))
+        } else {
+            f(&self.inner.clam.read(), usize::MAX)
         }
-        self.inner.clam.read().fine_insert(key, value)
+    }
+
+    /// Inserts (or updates) a key through [`Clam::insert`] under the
+    /// mode's stripe lock (see [`set_coarse_locks`](Self::set_coarse_locks)).
+    pub fn insert(&self, key: Key, value: Value) -> Result<InsertOutcome> {
+        self.with_writer(|c, _| c.insert(key, value))
     }
 
     /// Looks up a key: the epoch-validated fast path first (see
@@ -237,19 +246,14 @@ impl<D: Device> SharedClam<D> {
         self.with_write(|c| c.lookup(key))
     }
 
-    /// Inserts a batch of key/value pairs using the batched CLAM
-    /// pipeline. By default the batch runs through the **fine-grained**
-    /// parallel path ([`Clam::fine_insert_batch`]): the stripe lock is
-    /// held shared and the batch's per-super-table groups execute on
-    /// scoped threads, each serializing only on its table op locks, with
-    /// a flush gate replaying the coarse path's flush order so results,
-    /// flash traffic and ledgers are bit-identical to the exclusive
-    /// baseline ([`Clam::insert_batch`], used in coarse mode).
+    /// Inserts a batch of key/value pairs through [`Clam::insert_batch`]:
+    /// by default the stripe lock is held shared and the batch's
+    /// per-super-table groups run on scoped threads, one chunk per core
+    /// at any batch size; in coarse mode the whole batch runs as one
+    /// chunk under the exclusive lock. Results, flash traffic and ledgers
+    /// are identical either way.
     pub fn insert_batch(&self, ops: &[(Key, Value)]) -> Result<BatchInsertOutcome> {
-        if self.inner.coarse.load(Ordering::SeqCst) {
-            return self.with_write(|c| c.insert_batch(ops));
-        }
-        self.inner.clam.read().fine_insert_batch(ops)
+        self.with_writer(|c, max_chunks| c.insert_batch_chunked(ops, max_chunks, 1))
     }
 
     /// Looks up a batch of keys through the streaming ring pipeline,
@@ -337,15 +341,10 @@ impl<D: Device> SharedClam<D> {
         self.with_write(|c| c.lookup_batch_waves(keys))
     }
 
-    /// Deletes a key. Fine-grained by default (shared stripe lock +
-    /// the key's table op lock, [`Clam::fine_delete`]); exclusive in
-    /// coarse mode.
+    /// Deletes a key through [`Clam::delete`] under the mode's stripe
+    /// lock.
     pub fn delete(&self, key: Key) -> Result<()> {
-        if self.inner.coarse.load(Ordering::SeqCst) {
-            self.with_write(|c| c.delete(key))?;
-        } else {
-            self.inner.clam.read().fine_delete(key)?;
-        }
+        self.with_writer(|c, _| c.delete(key))?;
         Ok(())
     }
 
@@ -516,9 +515,9 @@ impl<D: Device> StripedClam<D> {
     /// latency is therefore the **maximum over stripes** (the batch is done
     /// when the slowest stripe is), while the event counters (`flushed_ops`,
     /// `evictions`, `coalesced_writes`) sum across stripes. Results and
-    /// per-stripe state are identical to the serial reference path
-    /// ([`insert_batch_serial`](Self::insert_batch_serial)): stripes share
-    /// no state, so dispatch order cannot change any outcome.
+    /// per-stripe state are identical to running the stripes one after
+    /// another: stripes share no state, so dispatch order cannot change
+    /// any outcome.
     ///
     /// ```
     /// use bufferhash::{Clam, ClamConfig, StripedClam};
@@ -579,27 +578,6 @@ impl<D: Device> StripedClam<D> {
             }),
         }
         results
-    }
-
-    /// The serial reference path for [`insert_batch`](Self::insert_batch):
-    /// stripes execute one after another and the reported latency is the
-    /// **sum over stripes**, as a single-device deployment would observe.
-    /// State and counters after this call are identical to the concurrent
-    /// path's.
-    pub fn insert_batch_serial(&self, ops: &[(Key, Value)]) -> Result<BatchInsertOutcome> {
-        let groups = self.partition(ops);
-        let mut total = BatchInsertOutcome { ops: ops.len(), ..Default::default() };
-        for (idx, group) in groups.iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let out = self.stripes[idx].insert_batch(group)?;
-            total.latency += out.latency;
-            total.flushed_ops += out.flushed_ops;
-            total.evictions += out.evictions;
-            total.coalesced_writes += out.coalesced_writes;
-        }
-        Ok(total)
     }
 
     /// Groups `ops` by owning stripe, preserving input order within each
@@ -982,6 +960,28 @@ mod tests {
         assert!(ring.reaps > 0 && wave.reaps == 0, "only the ring pipeline reaps");
     }
 
+    /// Runs `ops` through `striped` one stripe after another (routing with
+    /// `stripe_index`, then each stripe's own `insert_batch`) and sums the
+    /// latency, as a single-device deployment would observe it.
+    fn insert_stripes_serially(
+        striped: &StripedClam<Ssd>,
+        ops: &[(u64, u64)],
+    ) -> BatchInsertOutcome {
+        let mut groups = vec![Vec::new(); striped.num_stripes()];
+        for &(k, v) in ops {
+            groups[striped.stripe_index(k)].push((k, v));
+        }
+        let mut total = BatchInsertOutcome { ops: ops.len(), ..Default::default() };
+        for (i, group) in groups.iter().enumerate().filter(|(_, g)| !g.is_empty()) {
+            let out = striped.stripe(i).unwrap().insert_batch(group).unwrap();
+            total.latency += out.latency;
+            total.flushed_ops += out.flushed_ops;
+            total.evictions += out.evictions;
+            total.coalesced_writes += out.coalesced_writes;
+        }
+        total
+    }
+
     #[test]
     fn parallel_dispatch_matches_the_serial_path() {
         let parallel = StripedClam::new(vec![clam(), clam(), clam()]);
@@ -991,7 +991,7 @@ mod tests {
         let mut sum_total = flashsim::SimDuration::ZERO;
         for chunk in ops.chunks(512) {
             let p = parallel.insert_batch(chunk).unwrap();
-            let s = serial.insert_batch_serial(chunk).unwrap();
+            let s = insert_stripes_serially(&serial, chunk);
             // Same outcomes, event for event; only the latency accounting
             // differs (max-over-stripes vs. sum-over-stripes).
             assert_eq!(p.ops, s.ops);
@@ -1181,10 +1181,12 @@ mod tests {
         assert_eq!(fs.deletes.len(), cs.deletes.len());
         assert_eq!(fs.forced_evictions, cs.forced_evictions);
         assert_eq!(fs.coalesced_flush_writes, cs.coalesced_flush_writes);
-        // Every fine-grained op went through a table op lock; the coarse
-        // baseline never touches them.
+        // Both modes run the same write code and take the table op locks;
+        // the coarse baseline writes one table at a time under the
+        // exclusive stripe lock, so its writes never overlap.
         assert!(fs.table_write_acquisitions >= 8_000, "{fs}");
-        assert_eq!(cs.table_write_acquisitions, 0, "{cs}");
+        assert!(cs.table_write_acquisitions > 0, "{cs}");
+        assert_eq!(cs.table_lock_high_water, 1, "{cs}");
     }
 
     #[test]

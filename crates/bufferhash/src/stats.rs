@@ -112,13 +112,14 @@ pub struct ClamStats {
     pub recovered_incarnations: u64,
     /// Slots a recovery scan rejected as torn (checksum/identity failures).
     pub recovery_torn_slots: u64,
-    /// Per-table write-lock acquisitions on the fine-grained write path
-    /// (`Clam::fine_insert` / `fine_delete` / `fine_insert_batch`). Zero
-    /// while `set_coarse_locks(true)` routes everything through the
-    /// stripe-global lock.
+    /// Per-table write-lock acquisitions: one per `Clam::insert` /
+    /// `Clam::delete` and one per table group of a `Clam::insert_batch`
+    /// chunk. Every write takes them, exclusive callers and
+    /// `set_coarse_locks(true)` included; coarse mode shows up as a
+    /// `table_lock_high_water` of 1.
     pub table_write_acquisitions: u64,
     /// Table write-lock acquisitions that found the op lock already held
-    /// (another fine-grained writer was mid-op on the same table).
+    /// (another writer was mid-op on the same table).
     pub table_write_contended: u64,
     /// High-water mark of tables of one stripe write-locked at the same
     /// instant — direct evidence of intra-stripe write concurrency.

@@ -65,8 +65,11 @@ fn assert_stores_agree<A: Device, B: Device>(
     coarse.set_coarse_locks(true);
     // Force the fine store's batches through the multi-chunk scoped-thread
     // dispatch (gate + rendezvous) even on single-core hosts, so the
-    // identity claim is tested against the genuinely concurrent path.
+    // identity claim is tested against the genuinely concurrent path. The
+    // same override on the coarse store must not matter: coarse mode runs
+    // every batch as one chunk.
     fast.set_batch_parallelism(Some(3));
+    coarse.set_batch_parallelism(Some(3));
     let key = |raw: u64| hash_with_seed(raw % 192, seed);
     for (i, &(kind, raw)) in ops.iter().enumerate() {
         match kind % 10 {
@@ -121,11 +124,13 @@ fn assert_stores_agree<A: Device, B: Device>(
     assert_eq!(fs.lookup_hits, cs.lookup_hits, "{label}");
     assert_eq!(fs.lookup_misses, cs.lookup_misses, "{label}");
     assert_eq!(cs.fast_lookups, 0, "{label}: coarse mode must never take the fast path");
-    // Write-side identity: the fine-grained per-table write path must
-    // replay the coarse baseline's flush/eviction history exactly —
-    // same flush count and sequence effects, same forced evictions,
-    // same coalesced write runs, same cuckoo cascade shape, and the
-    // same per-op latency totals (simulated time is deterministic).
+    // Write-side identity: the one write body, run at three chunks under
+    // the shared stripe lock and at one chunk under the exclusive lock,
+    // must produce the same flush/eviction history exactly (the flush
+    // gate's claim) — same flush count and sequence effects, same forced
+    // evictions, same coalesced write runs, same cuckoo cascade shape,
+    // and the same per-op latency totals (simulated time is
+    // deterministic).
     assert_eq!(fs.flushes, cs.flushes, "{label}: flush count");
     assert_eq!(fs.forced_evictions, cs.forced_evictions, "{label}: forced evictions");
     assert_eq!(fs.coalesced_flush_writes, cs.coalesced_flush_writes, "{label}: coalesced runs");
@@ -134,9 +139,11 @@ fn assert_stores_agree<A: Device, B: Device>(
     assert_eq!(fs.inserts.total(), cs.inserts.total(), "{label}: summed insert latency");
     assert_eq!(fs.deletes.len(), cs.deletes.len(), "{label}: delete count");
     assert_eq!(fs.deletes.total(), cs.deletes.total(), "{label}: summed delete latency");
-    // Only the fine store exercises the table-lock ledger.
+    // Both stores write through the table locks; the coarse one (exclusive
+    // stripe lock, one-chunk batches) never holds two at once.
     assert!(fs.table_write_acquisitions > 0, "{label}: fine writes must take table locks");
-    assert_eq!(cs.table_write_acquisitions, 0, "{label}: coarse mode takes no table locks");
+    assert!(cs.table_write_acquisitions > 0, "{label}: coarse writes take table locks too");
+    assert_eq!(cs.table_lock_high_water, 1, "{label}: coarse writes must not overlap");
     // Device-level identity: byte-for-byte the same flash write, trim
     // and erase traffic (reads too — lookup outcomes already matched).
     let (fio, cio) = (fast_dev.with(|d| d.stats()), coarse_dev.with(|d| d.stats()));
@@ -238,41 +245,51 @@ fn script(conn: u64) -> Vec<Op> {
         .collect()
 }
 
-fn run_scripts<D: Device + 'static>(server: &ClamdServer<D>) -> Vec<Vec<RespBody>> {
+/// Runs the three connection scripts against `server`: on concurrent
+/// connections, or one connection after another.
+fn run_scripts<D: Device + 'static>(
+    server: &ClamdServer<D>,
+    concurrent: bool,
+) -> Vec<Vec<RespBody>> {
     let addr = server.local_addr();
+    let run = move |conn: u64| -> Vec<RespBody> {
+        let mut client = ClamdClient::connect(addr).unwrap();
+        script(conn).into_iter().map(|op| client.call(op).unwrap()).collect()
+    };
+    if !concurrent {
+        return (0..3u64).map(run).collect();
+    }
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..3u64)
-            .map(|conn| {
-                scope.spawn(move || {
-                    let mut client = ClamdClient::connect(addr).unwrap();
-                    script(conn).into_iter().map(|op| client.call(op).unwrap()).collect()
-                })
-            })
-            .collect();
+        let handles: Vec<_> = (0..3u64).map(|conn| scope.spawn(move || run(conn))).collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     })
 }
 
-/// The sharded fast-path server answers every connection with exactly
-/// the byte-identical response stream of the single-gather,
-/// coarse-locked baseline.
-#[test]
-fn sharded_server_matches_coarse_single_gather_baseline_over_tcp() {
-    let config = ServerConfig {
+/// Runs the scripts against a sharded fast-path server and against the
+/// single-gather, coarse-locked baseline, both over `flash_bytes` of
+/// flash, and asserts byte-identical response streams and ledgers.
+/// Returns each store's `(device trims, forced evictions)`, baseline
+/// first: every eviction trims its slot, and the stripes share one
+/// device, so one stripe's handle sees all trims.
+fn assert_server_matches_baseline(flash_bytes: u64, concurrent: bool) -> [(u64, u64); 2] {
+    let config = |shards| ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         stripes: STRIPES,
-        flash_bytes: 16 << 20,
+        flash_bytes,
         dram_bytes: 4 << 20,
-        batcher: BatcherConfig { shards: 1, ..BatcherConfig::default() },
+        batcher: BatcherConfig { shards, ..BatcherConfig::default() },
     };
-    let baseline_store = boot_sim(&config).unwrap();
+    let baseline_store = boot_sim(&config(1)).unwrap();
     baseline_store.set_coarse_locks(true);
-    let baseline = ClamdServer::start(baseline_store, Vec::new(), config).unwrap();
-    let sharded = ephemeral_sim_server_sharded(STRIPES, STRIPES, 16 << 20, 4 << 20).unwrap();
+    let baseline_stripe = baseline_store.stripe(0).unwrap();
+    let baseline = ClamdServer::start(baseline_store, Vec::new(), config(1)).unwrap();
+    let sharded_store = boot_sim(&config(STRIPES)).unwrap();
+    let sharded_stripe = sharded_store.stripe(0).unwrap();
+    let sharded = ClamdServer::start(sharded_store, Vec::new(), config(STRIPES)).unwrap();
     assert_eq!(sharded.num_shards(), STRIPES);
 
-    let base_streams = run_scripts(&baseline);
-    let shard_streams = run_scripts(&sharded);
+    let base_streams = run_scripts(&baseline, concurrent);
+    let shard_streams = run_scripts(&sharded, concurrent);
     for (conn, (b, s)) in base_streams.iter().zip(shard_streams.iter()).enumerate() {
         assert_eq!(b.len(), s.len(), "conn {conn}");
         for (i, (bb, ss)) in b.iter().zip(s.iter()).enumerate() {
@@ -290,6 +307,35 @@ fn sharded_server_matches_coarse_single_gather_baseline_over_tcp() {
     // Only the sharded server's store ever took the epoch-validated path.
     assert_eq!(baseline.clam_stats().fast_lookups, 0);
     assert!(sharded.clam_stats().fast_lookups > 0, "{:?}", sharded.stats());
+    [(&baseline_stripe, &baseline), (&sharded_stripe, &sharded)].map(|(stripe, server)| {
+        (stripe.with(|c| c.device().stats().trims), server.clam_stats().forced_evictions)
+    })
+}
+
+/// The sharded fast-path server answers every connection with exactly
+/// the byte-identical response stream of the single-gather,
+/// coarse-locked baseline, with the three connections running at once.
+#[test]
+fn sharded_server_matches_coarse_single_gather_baseline_over_tcp() {
+    // Every FLUSH, from any connection, adds an incarnation to each
+    // non-empty table, so how many incarnations a table holds at a given
+    // op depends on how the connections interleave. The response streams
+    // are a pure function of the scripts only while nothing is evicted:
+    // 64 MiB over four stripes leaves room for 63 incarnations per table,
+    // more than the scripts' 54 FLUSHes can create.
+    let evictions = assert_server_matches_baseline(64 << 20, true);
+    assert_eq!(evictions, [(0, 0); 2], "(trims, forced evictions): an incarnation was evicted");
+}
+
+/// The same comparison through FIFO eviction: at 16 MiB a table holds
+/// only 15 incarnations, so the scripts' FLUSHes evict. Running the
+/// connections one after another keeps the op order, and so the
+/// evictions, a function of the scripts alone.
+#[test]
+fn sharded_server_matches_coarse_baseline_through_eviction_over_tcp() {
+    let [baseline, sharded] = assert_server_matches_baseline(16 << 20, false);
+    assert!(baseline.0 > 0, "the scripts should evict at 16 MiB: {baseline:?}");
+    assert_eq!(baseline, sharded, "(trims, forced evictions)");
 }
 
 /// Hammering one stripe with inserts must not starve lookups on the

@@ -12,7 +12,7 @@ fn key(i: u64) -> u64 {
 #[test]
 fn clam_inserts_are_orders_of_magnitude_cheaper_than_bdb_on_the_same_ssd() {
     let cfg = ClamConfig::small_test(8 << 20, 2 << 20).unwrap();
-    let mut clam = Clam::new(Ssd::intel(8 << 20).unwrap(), cfg).unwrap();
+    let clam = Clam::new(Ssd::intel(8 << 20).unwrap(), cfg).unwrap();
     let mut bdb = BdbHashIndex::new(
         Ssd::intel(8 << 20).unwrap(),
         BdbConfig { cache_bytes: 256 * 1024, ..Default::default() },
@@ -34,7 +34,7 @@ fn clam_inserts_are_orders_of_magnitude_cheaper_than_bdb_on_the_same_ssd() {
 #[test]
 fn clam_beats_the_conventional_on_flash_hash_table() {
     let cfg = ClamConfig::small_test(8 << 20, 2 << 20).unwrap();
-    let mut clam = Clam::new(Ssd::intel(8 << 20).unwrap(), cfg).unwrap();
+    let clam = Clam::new(Ssd::intel(8 << 20).unwrap(), cfg).unwrap();
     let mut conventional = ConventionalFlashHash::new(Ssd::intel(8 << 20).unwrap()).unwrap();
     let mut clam_total = SimDuration::ZERO;
     let mut conv_total = SimDuration::ZERO;
